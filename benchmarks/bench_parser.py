@@ -7,7 +7,9 @@ every lab solution) once, then parses it repeatedly under both
 backends — ``legacy`` (the original recursive-descent parser, kept as
 the differential oracle) and ``pegen`` (the parser generated from
 ``minicuda.gram``) — requiring byte-identical AST reprs and recording
-warm-path throughput in ``BENCH_parser.json``.
+warm-path throughput in ``BENCH_parser.json``. The lexer's token
+throughput over the same preprocessed corpus is recorded alongside
+(no floor), with the git revision and CPU count of the run.
 
 Acceptance: the generated parser's token throughput must be at least
 the legacy warm path (ratio >= 1.0; the ``WEBGPU_BENCH_FAST=1`` CI
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -40,12 +43,33 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples" / "cuda"
 _PARSERS = {"legacy": Parser, "pegen": MiniCudaParser}
 
 
-def _corpus() -> list[tuple[str, list]]:
+def _texts() -> list[tuple[str, str]]:
+    """The golden corpus, preprocessed."""
     sources = [(p.name, p.read_text()) for p in sorted(EXAMPLES_DIR.glob("*.cu"))]
     sources += [(f"{lab.slug}:solution", lab.solution)
                 for lab in ALL_LABS + EXTRA_LABS]
-    return [(name, tokenize(Preprocessor().process(text)))
-            for name, text in sources]
+    return [(name, Preprocessor().process(text)) for name, text in sources]
+
+
+def _lex_all(texts: list[tuple[str, str]]) -> float:
+    """Best wall seconds to tokenize every text once."""
+    best = float("inf")
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        for _, text in texts:
+            tokenize(text)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _git_rev() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True,
+            cwd=EXAMPLES_DIR).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def _parse_all(parser_cls, corpus) -> tuple[float, int, int, list[str]]:
@@ -67,8 +91,10 @@ def _parse_all(parser_cls, corpus) -> tuple[float, int, int, list[str]]:
 
 
 def test_parser_throughput():
-    corpus = _corpus()
+    texts = _texts()
+    corpus = [(name, tokenize(text)) for name, text in texts]
     total_tokens = sum(len(tokens) for _, tokens in corpus)
+    lex_seconds = _lex_all(texts)
 
     results = {}
     reprs_by_backend = {}
@@ -96,13 +122,20 @@ def test_parser_throughput():
         "memo_hits": entry["memo_hits"],
         "memo_misses": entry["memo_misses"],
     } for backend, entry in results.items()]
+    rows.append({"backend": "lexer", "wall_ms": f"{lex_seconds * 1e3:.1f}",
+                 "ktok_per_s": f"{total_tokens / lex_seconds / 1e3:.0f}",
+                 "memo_hits": "-", "memo_misses": "-"})
     print_table("Parser backends over the golden corpus "
                 f"({len(corpus)} files, {total_tokens} tokens)", rows)
 
     record = {
         "fast_mode": FAST,
+        "git_rev": _git_rev(),
+        "nproc": os.cpu_count(),
         "files": len(corpus),
         "tokens": total_tokens,
+        "lexer": {"seconds": lex_seconds,
+                  "tokens_per_second": total_tokens / lex_seconds},
         "backends": results,
         "pegen_over_legacy": ratio,
         "memo_hit_rate": (memo["memo_hits"]

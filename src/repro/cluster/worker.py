@@ -339,7 +339,8 @@ class GpuWorker(Node):
                     syscall_hook=env.gate.invoke,
                     engine=self.config.kernel_engine,
                     telemetry=self.telemetry,
-                    profile=self.config.line_profile)
+                    profile=self.config.line_profile,
+                    compile_cache=self.compile_cache)
             except KernelHang:
                 # an exhausted step budget is the watchdog firing
                 raise TimeLimitExceeded("run", lab.run_limit_s,

@@ -18,7 +18,7 @@ from repro.gpusim.errors import (
     OutOfMemoryError,
 )
 from repro.gpusim.grid import Dim3
-from repro.gpusim.memory import DeviceBuffer
+from repro.gpusim.memory import DeviceBuffer, allocation_bytes
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,13 @@ class Device:
 
     def malloc(self, num_elements: int, dtype: np.dtype | str,
                label: str = "", read_only: bool = False) -> DeviceBuffer:
-        buf = DeviceBuffer(num_elements, dtype, read_only=read_only, label=label)
-        if self.bytes_allocated + buf.nbytes > self.spec.global_mem_bytes:
+        nbytes = allocation_bytes(num_elements, dtype)
+        if self.bytes_allocated + nbytes > self.spec.global_mem_bytes:
             raise OutOfMemoryError(
-                f"cudaMalloc of {buf.nbytes} bytes failed: "
+                f"cudaMalloc of {nbytes} bytes failed: "
                 f"{self.bytes_allocated} of {self.spec.global_mem_bytes} in use"
             )
+        buf = DeviceBuffer(num_elements, dtype, read_only=read_only, label=label)
         self._allocs[buf.alloc_id] = buf
         self.bytes_allocated += buf.nbytes
         self.peak_bytes_allocated = max(self.peak_bytes_allocated,

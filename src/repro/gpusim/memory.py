@@ -29,6 +29,19 @@ CTYPE_TO_DTYPE: dict[str, np.dtype] = {
     "bool": np.dtype(np.bool_),
 }
 
+
+def resolve_dtype(dtype: np.dtype | str) -> np.dtype:
+    """A CUDA-C type name or numpy dtype spelling as a numpy dtype."""
+    if isinstance(dtype, str) and dtype in CTYPE_TO_DTYPE:
+        return CTYPE_TO_DTYPE[dtype]
+    return np.dtype(dtype)
+
+
+def allocation_bytes(num_elements: int, dtype: np.dtype | str) -> int:
+    """Bytes an allocation would take, computed without allocating, so
+    limits are checked before a hostile size is materialized."""
+    return int(num_elements) * resolve_dtype(dtype).itemsize
+
 _alloc_ids = itertools.count(1)
 
 
@@ -37,9 +50,7 @@ class DeviceBuffer:
 
     def __init__(self, num_elements: int, dtype: np.dtype | str,
                  read_only: bool = False, label: str = ""):
-        if isinstance(dtype, str):
-            dtype = CTYPE_TO_DTYPE[dtype] if dtype in CTYPE_TO_DTYPE \
-                else np.dtype(dtype)
+        dtype = resolve_dtype(dtype)
         if num_elements < 1:
             raise ValueError("allocation must hold at least one element")
         self.alloc_id = next(_alloc_ids)
@@ -183,9 +194,7 @@ class SharedArray:
     NUM_BANKS = 32
 
     def __init__(self, name: str, num_elements: int, dtype: np.dtype | str):
-        if isinstance(dtype, str):
-            dtype = CTYPE_TO_DTYPE[dtype] if dtype in CTYPE_TO_DTYPE \
-                else np.dtype(dtype)
+        dtype = resolve_dtype(dtype)
         self.name = name
         self.dtype = np.dtype(dtype)
         self.data = np.zeros(num_elements, dtype=self.dtype)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.gpusim.device import Device
 from repro.gpusim.errors import BarrierDivergenceError, LaunchConfigError
 from repro.gpusim.grid import Dim3, Idx3
-from repro.gpusim.memory import DevicePtr, SharedArray
+from repro.gpusim.memory import DevicePtr, SharedArray, allocation_bytes
 from repro.gpusim.timing import SEGMENT_BYTES, KernelStats
 from repro.profiler import LineProfile
 
@@ -478,13 +478,16 @@ class ThreadContext:
         block = self._block
         arr = block.shared.get(name)
         if arr is None:
-            arr = SharedArray(name, num_elements, dtype)
+            # check the declared size before materializing it: a hostile
+            # __shared__ float s[1<<28] must fault, not allocate
+            total = block.shared_bytes + allocation_bytes(num_elements, dtype)
             limit = block.device.spec.shared_mem_per_block
-            if block.shared_bytes + arr.nbytes > limit:
+            if total > limit:
                 raise LaunchConfigError(
-                    f"shared memory exceeded: {block.shared_bytes + arr.nbytes}"
+                    f"shared memory exceeded: {total}"
                     f" > {limit} bytes (allocating {name!r})"
                 )
+            arr = SharedArray(name, num_elements, dtype)
             block.shared[name] = arr
             block.shared_bytes += arr.nbytes
         return arr

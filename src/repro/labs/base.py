@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.gpusim import Device, DeviceSpec, GpuRuntime, KEPLER_K20
-from repro.minicuda import CompileError, HostEnv, compile_source
+from repro.minicuda import (
+    CompileError, CompiledProgram, HostEnv, compile_source)
 from repro.mpisim import run_mpi
 from repro.profiler import LineBudget, merge_stats_profiles
 from repro.wb.comparison import CompareResult, compare_solution
@@ -102,7 +103,8 @@ def execute_lab_source(lab: LabDefinition, source: str, data: GeneratedData,
                        syscall_hook: Any = None,
                        engine: str | None = None,
                        telemetry: Any = None,
-                       profile: bool = False) -> LabExecution:
+                       profile: bool = False,
+                       compile_cache: Any = None) -> LabExecution:
     """Compile + run ``source`` for ``lab`` against one dataset.
 
     This is the worker's inner evaluation step, shared with the offline
@@ -118,27 +120,31 @@ def execute_lab_source(lab: LabDefinition, source: str, data: GeneratedData,
     ``profile`` turns on the per-source-line kernel profiler: the
     result's ``line_profile`` holds the merged ledger across every
     launch and ``fingerprint`` the CAS key for caching it.
+    ``compile_cache`` (a :class:`repro.minicuda.CompileCache`) serves
+    the compile: the worker passes its own, so a source its sandbox
+    compile step just checked is not run through the front end again.
+    No synthetic compile cost is charged here either way.
     """
+    program = compile_source(source, cache=compile_cache)
     if lab.mode is EvaluationMode.KERNEL_ONLY:
-        return _execute_kernel_only(lab, source, data, spec, max_steps,
+        return _execute_kernel_only(lab, program, data, spec, max_steps,
                                     engine, telemetry, profile)
     if lab.mode is EvaluationMode.MPI:
-        return _execute_mpi(lab, source, data, spec, max_steps,
+        return _execute_mpi(lab, program, data, spec, max_steps,
                             stdout_hook, syscall_hook, engine, telemetry,
                             profile)
-    return _execute_full_program(lab, source, data, spec, max_steps,
+    return _execute_full_program(lab, program, data, spec, max_steps,
                                  stdout_hook, syscall_hook, engine,
                                  telemetry, profile)
 
 
-def _execute_full_program(lab: LabDefinition, source: str,
+def _execute_full_program(lab: LabDefinition, program: CompiledProgram,
                           data: GeneratedData, spec: DeviceSpec,
                           max_steps: int, stdout_hook: Any = None,
                           syscall_hook: Any = None,
                           engine: str | None = None,
                           telemetry: Any = None,
                           profile: bool = False) -> LabExecution:
-    program = compile_source(source)
     runtime = GpuRuntime(Device(spec), telemetry=telemetry)
     env = HostEnv(datasets=dict(data.inputs), stdout_hook=stdout_hook,
                   syscall_hook=syscall_hook)
@@ -167,7 +173,7 @@ def _execute_full_program(lab: LabDefinition, source: str,
         fingerprint=program.info.fingerprint or "")
 
 
-def _execute_kernel_only(lab: LabDefinition, source: str,
+def _execute_kernel_only(lab: LabDefinition, program: CompiledProgram,
                          data: GeneratedData, spec: DeviceSpec,
                          max_steps: int,
                          engine: str | None = None,
@@ -175,7 +181,6 @@ def _execute_kernel_only(lab: LabDefinition, source: str,
                          profile: bool = False) -> LabExecution:
     """OpenCL-style labs: the student writes only the kernel; the
     harness owns the host side (create buffers, launch, read back)."""
-    program = compile_source(source)
     runtime = GpuRuntime(Device(spec), telemetry=telemetry)
     if lab.kernel_name not in program.kernel_names:
         raise CompileError(
@@ -201,14 +206,14 @@ def _execute_kernel_only(lab: LabDefinition, source: str,
                         fingerprint=program.info.fingerprint or "")
 
 
-def _execute_mpi(lab: LabDefinition, source: str, data: GeneratedData,
+def _execute_mpi(lab: LabDefinition, program: CompiledProgram,
+                 data: GeneratedData,
                  spec: DeviceSpec, max_steps: int, stdout_hook: Any = None,
                  syscall_hook: Any = None,
                  engine: str | None = None,
                  telemetry: Any = None,
                  profile: bool = False) -> LabExecution:
     """Multi-GPU MPI labs: one rank per (simulated) GPU."""
-    program = compile_source(source)
     ranks = int(data.params.get("ranks", 4))
     envs: list[HostEnv] = [HostEnv(datasets=dict(data.inputs),
                                    stdout_hook=stdout_hook,

@@ -35,7 +35,7 @@ The facade is :func:`repro.minicuda.compiler.compile_source`.
 
 from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
 from repro.minicuda.preprocessor import Preprocessor, preprocess
-from repro.minicuda.lexer import Lexer, Token, TokenKind, tokenize
+from repro.minicuda.lexer import Token, TokenKind, tokenize
 from repro.minicuda.parser import Parser, parse
 from repro.minicuda.semantic import analyze
 from repro.minicuda.compiler import CompileCache, CompiledProgram, compile_source
@@ -49,7 +49,6 @@ __all__ = [
     "Diagnostic",
     "ENGINES",
     "HostEnv",
-    "Lexer",
     "Parser",
     "Preprocessor",
     "SolutionRecorded",

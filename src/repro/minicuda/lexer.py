@@ -1,11 +1,17 @@
-"""Tokenizer for the CUDA-C subset."""
+"""Tokenizer for the CUDA-C subset.
+
+One master regular expression with a named group per token class
+scans the preprocessed source in a single pass: whitespace runs are
+one match, punctuation is an alternation ordered longest-first, and
+line/column come from newline counts of the matches that contain
+newlines.
+"""
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, NamedTuple
 
 from repro.minicuda.diagnostics import CompileError, SourcePos
 
@@ -49,19 +55,37 @@ PUNCTUATION = (
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 )
 
-_FLOAT_RE = re.compile(
-    r"(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?"
-    r"|\d+[fF]"
-)
-_INT_RE = re.compile(r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
             '"': '"', "'": "'"}
 
+#: The token classes, tried in order at each position. Numbers come
+#: before punctuation so ".5" is a float, not "." "5"; a float is
+#: tried before an int so "2." is not "2" ".". ``bad`` matches any
+#: character the others reject and turns it into a diagnostic.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<nl>[ \t\r]*\n[ \t\r\n]*)",
+    r"(?P<ws>[ \t\r]+)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
+    r"|\d+[eE][-+]?\d+)[fF]?|\d+[fF])",
+    r"(?P<int>0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*)",
+    "(?P<punct>" + "|".join(map(re.escape, sorted(
+        PUNCTUATION, key=len, reverse=True))) + ")",
+    r'(?P<string>"(?:[^"\\\n]|\\[\s\S])*")',
+    r"(?P<char>'(?:\\[\s\S]|[\s\S])')",
+    r"(?P<hash>#[^\n]*)",
+    r"(?P<bad>[\s\S])",
+)))
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
+    """One token: a tuple-backed value type (cheap to build, immutable).
+
+    Equality is strict (a plain tuple never equals a Token) and the
+    hash is the field-tuple hash.
+    """
+
     kind: TokenKind
     text: str
     pos: SourcePos
@@ -76,128 +100,79 @@ class Token:
     def __str__(self) -> str:
         return f"{self.kind.value}({self.text!r})@{self.pos}"
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-class Lexer:
-    """Streaming tokenizer with 1-based line/column tracking."""
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
 
-    def __init__(self, source: str):
-        self.source = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
+    __hash__ = tuple.__hash__
 
-    def _pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col)
 
-    def _advance(self, n: int) -> None:
-        chunk = self.source[self.i:self.i + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.i += n
-
-    def tokens(self) -> Iterator[Token]:
-        src = self.source
-        n = len(src)
-        while self.i < n:
-            ch = src[self.i]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                # surviving "#pragma" lines become PRAGMA tokens so the
-                # parser can attach OpenACC directives to loops; other
-                # stray hash lines are skipped
-                pos = self._pos()
-                end = src.find("\n", self.i)
-                line = src[self.i:end if end >= 0 else n]
-                self._advance(len(line))
-                stripped = line.lstrip("#").strip()
-                if stripped.startswith("pragma"):
-                    yield Token(TokenKind.PRAGMA, line, pos,
-                                stripped[len("pragma"):].strip())
-                continue
-            pos = self._pos()
-            if ch == '"':
-                text, value = self._string(pos)
-                yield Token(TokenKind.STRING, text, pos, value)
-                continue
-            if ch == "'":
-                text, value = self._char(pos)
-                yield Token(TokenKind.CHAR, text, pos, value)
-                continue
-            m = _FLOAT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                yield Token(TokenKind.FLOAT, text, pos,
-                            float(text.rstrip("fF")))
-                continue
-            m = _INT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                digits = text.rstrip("uUlL")
-                value = int(digits, 16) if digits.lower().startswith("0x") \
-                    else int(digits)
-                yield Token(TokenKind.INT, text, pos, value)
-                continue
-            m = _IDENT_RE.match(src, self.i)
-            if m:
-                text = m.group(0)
-                self._advance(len(text))
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-                yield Token(kind, text, pos)
-                continue
-            for punct in PUNCTUATION:
-                if src.startswith(punct, self.i):
-                    self._advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, pos)
-                    break
-            else:
-                raise CompileError(f"unexpected character {ch!r}", pos)
-        yield Token(TokenKind.EOF, "", self._pos())
-
-    def _string(self, pos: SourcePos) -> tuple[str, str]:
-        src = self.source
-        j = self.i + 1
-        chars: list[str] = []
-        while j < len(src):
-            c = src[j]
-            if c == "\\" and j + 1 < len(src):
-                chars.append(_ESCAPES.get(src[j + 1], src[j + 1]))
-                j += 2
-                continue
-            if c == '"':
-                text = src[self.i:j + 1]
-                self._advance(j + 1 - self.i)
-                return text, "".join(chars)
-            if c == "\n":
-                break
-            chars.append(c)
-            j += 1
-        raise CompileError("unterminated string literal", pos)
-
-    def _char(self, pos: SourcePos) -> tuple[str, int]:
-        src = self.source
-        j = self.i + 1
-        if j < len(src) and src[j] == "\\" and j + 2 < len(src) \
-                and src[j + 2] == "'":
-            value = ord(_ESCAPES.get(src[j + 1], src[j + 1]))
-            text = src[self.i:j + 3]
-            self._advance(j + 3 - self.i)
-            return text, value
-        if j + 1 < len(src) and src[j + 1] == "'":
-            value = ord(src[j])
-            text = src[self.i:j + 2]
-            self._advance(j + 2 - self.i)
-            return text, value
-        raise CompileError("malformed character literal", pos)
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match.group(1), match.group(1))
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize preprocessed source into a list ending with EOF."""
-    return list(Lexer(source).tokens())
+    new = tuple.__new__
+    tok, pos_t = Token, SourcePos
+    ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+    keywords = KEYWORDS
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "ws":
+            continue
+        if group == "nl":
+            text = m.group()
+            line += text.count("\n")
+            line_start = m.start() + text.rfind("\n") + 1
+            continue
+        text = m.group()
+        start = m.start()
+        pos = new(pos_t, (line, start - line_start + 1))
+        if group == "ident":
+            append(new(tok, (keyword if text in keywords else ident,
+                             text, pos, None)))
+        elif group == "punct":
+            append(new(tok, (punct, text, pos, None)))
+        elif group == "int":
+            digits = text.rstrip("uUlL")
+            value = int(digits, 16) if digits[:2] in ("0x", "0X") \
+                else int(digits)
+            append(new(tok, (TokenKind.INT, text, pos, value)))
+        elif group == "float":
+            append(new(tok, (TokenKind.FLOAT, text, pos,
+                             float(text.rstrip("fF")))))
+        elif group == "string" or group == "char":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(_unescape, body)
+            if group == "string":
+                append(new(tok, (TokenKind.STRING, text, pos, body)))
+            else:
+                append(new(tok, (TokenKind.CHAR, text, pos, ord(body))))
+            if "\n" in text:  # an escaped (or, in a char, bare) newline
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+        elif group == "hash":
+            # surviving "#pragma" lines become PRAGMA tokens so the
+            # parser can attach OpenACC directives to loops; other
+            # stray hash lines are skipped
+            stripped = text.lstrip("#").strip()
+            if stripped.startswith("pragma"):
+                append(new(tok, (TokenKind.PRAGMA, text, pos,
+                                 stripped[len("pragma"):].strip())))
+        elif text == '"':
+            raise CompileError("unterminated string literal", pos)
+        elif text == "'":
+            raise CompileError("malformed character literal", pos)
+        else:
+            raise CompileError(f"unexpected character {text!r}", pos)
+    append(new(tok, (TokenKind.EOF, "", new(
+        pos_t, (line, len(source) - line_start + 1)), None)))
+    return tokens

@@ -20,7 +20,8 @@ import time
 from typing import Any, Iterable
 
 from repro.minicuda import ast_nodes as ast
-from repro.minicuda.diagnostics import CompileError, SourcePos
+from repro.minicuda.diagnostics import (
+    NESTING_TOO_DEEP, CompileError, SourcePos)
 from repro.minicuda.lexer import Token, TokenKind, tokenize
 
 #: Scalar base types recognised directly.
@@ -737,7 +738,10 @@ def parse(source: str,
         from repro.minicuda.parser_gen import MiniCudaParser
         parser = MiniCudaParser(tokens, typedef_names)
     start = time.perf_counter()
-    unit = parser.parse_translation_unit()
+    try:
+        unit = parser.parse_translation_unit()
+    except RecursionError:
+        raise CompileError(NESTING_TOO_DEEP, parser.tok.pos) from None
     if telemetry is not None:
         telemetry.record_parse(
             backend, time.perf_counter() - start,

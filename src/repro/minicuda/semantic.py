@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
-from repro.minicuda.diagnostics import CompileError, Diagnostic, SourcePos
+from repro.minicuda.diagnostics import (
+    NESTING_TOO_DEEP, CompileError, Diagnostic, SourcePos)
 
 
 #: Device builtins that hit a block-wide barrier when called.
@@ -79,7 +80,10 @@ class Analyzer:
         self._collect_top_level()
         for fn in self.unit.functions:
             if not self._is_prototype(fn):
-                self._check_function(fn)
+                try:
+                    self._check_function(fn)
+                except RecursionError:
+                    self.error(NESTING_TOO_DEEP, fn.pos)
         if self.diagnostics:
             raise CompileError(self.diagnostics)
         self._collect_barrier_functions()
@@ -94,12 +98,15 @@ class Analyzer:
         uses = self.info.barrier_functions
         for name, fn in device_fns.items():
             called: set[str] = set()
-            for node in ast.walk(fn.body):
-                if isinstance(node, ast.Call):
-                    if node.name in BARRIER_BUILTINS:
-                        uses.add(name)
-                    elif node.name in self.info.device_functions:
-                        called.add(node.name)
+            try:
+                for node in ast.walk(fn.body):
+                    if isinstance(node, ast.Call):
+                        if node.name in BARRIER_BUILTINS:
+                            uses.add(name)
+                        elif node.name in self.info.device_functions:
+                            called.add(node.name)
+            except RecursionError:
+                raise CompileError(NESTING_TOO_DEEP, fn.pos) from None
             calls[name] = called
         changed = True
         while changed:

@@ -2043,7 +2043,9 @@ class _SrcArtifact:
                                  profile=self.profile)
             try:
                 compiled = mod.compile_kernel(fn, gen_ok)
-            except UnsupportedConstruct:
+            except (UnsupportedConstruct, SyntaxError, RecursionError):
+                # SyntaxError: the generated source nests deeper than
+                # Python's own parser accepts (deep expressions)
                 compiled = None
         self.kernels[name] = compiled
         return compiled
