@@ -4,6 +4,7 @@ import pytest
 
 from repro.minicuda import CompileError, parse, tokenize
 from repro.minicuda import ast_nodes as ast
+from repro.minicuda.diagnostics import SourcePos
 from repro.minicuda.lexer import TokenKind
 
 
@@ -56,6 +57,20 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(CompileError):
             tokenize("int @x;")
+
+    def test_token_and_pos_are_immutable_values(self):
+        a, b = tokenize("x")[0], tokenize("x")[0]
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != tuple(a) and tuple(a) != a
+        assert a.pos == SourcePos(1, 1) and a.pos != (1, 1)
+        assert hash(a.pos) == hash((1, 1))
+        assert repr(a) == ("Token(kind=<TokenKind.IDENT: 'ident'>, "
+                           "text='x', pos=SourcePos(line=1, column=1), "
+                           "value=None)")
+        with pytest.raises(AttributeError):
+            a.text = "y"
+        with pytest.raises(AttributeError):
+            a.pos.line = 2
 
 
 class TestParserTopLevel:
