@@ -4,28 +4,28 @@ The kernel interpreter is the platform's hot path, so the telemetry
 hook in :meth:`repro.gpusim.host.GpuRuntime.launch` is guarded: with
 ``telemetry=None`` (the default, and what every seed benchmark uses)
 the launch path gains a single ``is None`` test — no wall-clock read,
-no histogram update. This benchmark measures three configurations over
-repeated closure-engine launches of the tiled matmul kernel:
+no histogram update. The same pay-for-what-you-use contract covers the
+per-source-line profiler (:mod:`repro.profiler`): ``profile=False``
+(the default) must not touch the ledger path.
 
-* ``baseline``  — ``telemetry=None`` (the seed path);
+This benchmark measures four configurations over repeated launches of
+the tiled matmul kernel on the default kernel engine (``simd``, the
+fastest tier, where any fixed per-launch cost is the largest relative
+share):
+
+* ``baseline``  — ``telemetry=None``, profile off (the seed path);
 * ``null``      — a :class:`~repro.telemetry.Telemetry` bundle with the
   default :class:`~repro.telemetry.NullTracer` (metrics recorded,
-  tracing off) — the configuration every worker runs with;
-* ``traced``    — full tracing enabled.
+  tracing off) and profile off — the configuration every worker runs
+  with;
+* ``traced``    — full tracing enabled;
+* ``prof_on``   — telemetry on and the per-line profiler building its
+  ledger.
 
 Acceptance (CI ``telemetry-overhead`` job): the ``null`` configuration
 stays within 2% of ``baseline`` (min per-launch wall time over
-interleaved samples). The ``traced`` overhead is reported
-informationally in ``BENCH_telemetry_overhead.json``.
-
-The same pay-for-what-you-use contract covers the per-source-line
-profiler (:mod:`repro.profiler`): ``profile=False`` (the default) must
-not touch the ledger path. A second measurement runs the simd engine —
-the fastest tier, where any fixed per-launch cost is the largest
-relative share — comparing ``simd_baseline`` (no telemetry, no
-profile) against ``simd_prof_off`` (telemetry on, profile off, the
-worker's default) under the same 2% budget, and records the
-``simd_prof_on`` ledger-building cost informationally.
+interleaved samples). The ``traced`` and ``prof_on`` overheads are
+reported informationally in ``BENCH_telemetry_overhead.json``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from conftest import print_table
 
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
-from repro.minicuda import compile_source
+from repro.minicuda import compile_source, resolve_engine
 from repro.telemetry import Telemetry
 
 FAST = bool(os.environ.get("WEBGPU_BENCH_FAST"))
@@ -86,12 +86,11 @@ def _make_runtime(telemetry: Telemetry | None):
     return rt, [a.ptr(), b.ptr(), c.ptr(), N]
 
 
-def _one_launch(program, rt, args, engine="closure",
-                profile=False) -> float:
-    """Wall seconds for a single matmul launch."""
+def _one_launch(program, rt, args, profile=False) -> float:
+    """Wall seconds for a single matmul launch on the default engine."""
     t0 = time.perf_counter()
     program.launch(rt, "matmul", Dim3(N // 8, N // 8), Dim3(8, 8),
-                   *args, engine=engine, profile=profile)
+                   *args, profile=profile)
     return time.perf_counter() - t0
 
 
@@ -113,12 +112,14 @@ def _measure(program, runtimes, names) -> dict[str, float]:
 
 def test_telemetry_overhead():
     configs = {
-        "baseline": None,
-        "null": Telemetry(),
-        "traced": Telemetry(tracing=True),
+        "baseline": (None, False),
+        "null": (Telemetry(), False),
+        "traced": (Telemetry(tracing=True), False),
+        "prof_on": (Telemetry(), True),
     }
     program = compile_source(MATMUL)
-    runtimes = {name: _make_runtime(t) for name, t in configs.items()}
+    runtimes = {name: (*_make_runtime(t), profile)
+                for name, (t, profile) in configs.items()}
     names = list(configs)
     for name in names:  # warmup every config's runtime
         _one_launch(program, *runtimes[name])
@@ -135,74 +136,41 @@ def test_telemetry_overhead():
         print(f"(attempt {attempt + 1}: null at "
               f"{overheads['null']:+.2%}, re-measuring)")
 
+    engine = resolve_engine(None)
     rows = [{"config": name, "wall_s": f"{walls[name]:.4f}",
-             "overhead": f"{overheads[name]:+.2%}"} for name in configs]
-    print_table("Telemetry overhead on the kernel-engine hot path", rows)
-
-    # -- per-line profiler: off must be free, on is reported ----------------
-    prof_runtimes = {
-        "simd_baseline": (*_make_runtime(None), "simd", False),
-        "simd_prof_off": (*_make_runtime(Telemetry()), "simd", False),
-        "simd_prof_on": (*_make_runtime(Telemetry()), "simd", True),
-    }
-    prof_names = list(prof_runtimes)
-    for name in prof_names:
-        _one_launch(program, *prof_runtimes[name])
-    for attempt in range(3):
-        prof_walls = _measure(program, prof_runtimes, prof_names)
-        prof_base = prof_walls["simd_baseline"]
-        prof_overheads = {name: wall / prof_base - 1.0
-                          for name, wall in prof_walls.items()}
-        if prof_overheads["simd_prof_off"] <= NULL_OVERHEAD_BUDGET:
-            break
-        print(f"(attempt {attempt + 1}: simd_prof_off at "
-              f"{prof_overheads['simd_prof_off']:+.2%}, re-measuring)")
-
-    rows = [{"config": name, "wall_s": f"{prof_walls[name]:.4f}",
-             "overhead": f"{prof_overheads[name]:+.2%}"}
-            for name in prof_names]
-    print_table("Per-line profiler overhead on the simd hot path", rows)
+             "overhead": f"{overheads[name]:+.2%}"} for name in names]
+    print_table(f"Telemetry and profiler overhead on the {engine} hot path",
+                rows)
 
     record = {
         "fast_mode": FAST,
         "matmul_n": N,
         "samples": SAMPLES,
+        "engine": engine,
         "min_launch_seconds": walls,
         "overhead_vs_baseline": {k: v for k, v in overheads.items()
                                  if k != "baseline"},
         "null_budget": NULL_OVERHEAD_BUDGET,
-        "profiler": {
-            "engine": "simd",
-            "min_launch_seconds": prof_walls,
-            "overhead_vs_baseline": {
-                k: v for k, v in prof_overheads.items()
-                if k != "simd_baseline"},
-            "prof_off_budget": NULL_OVERHEAD_BUDGET,
-        },
     }
     out_path = Path(__file__).resolve().parent.parent / \
         "BENCH_telemetry_overhead.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n")
 
     assert overheads["null"] <= NULL_OVERHEAD_BUDGET, (
-        f"NullTracer telemetry costs {overheads['null']:+.2%} on the "
-        f"kernel hot path (budget {NULL_OVERHEAD_BUDGET:.0%})")
-    assert prof_overheads["simd_prof_off"] <= NULL_OVERHEAD_BUDGET, (
-        f"disabled profiler costs {prof_overheads['simd_prof_off']:+.2%} "
-        f"on the simd hot path (budget {NULL_OVERHEAD_BUDGET:.0%})")
+        f"telemetry with profile off costs {overheads['null']:+.2%} on "
+        f"the {engine} hot path (budget {NULL_OVERHEAD_BUDGET:.0%})")
     # a profiled launch must actually have built a ledger
-    rt_on = prof_runtimes["simd_prof_on"][0]
-    stats_on = program.launch(
-        rt_on, "matmul", Dim3(N // 8, N // 8), Dim3(8, 8),
-        *prof_runtimes["simd_prof_on"][1], engine="simd", profile=True)
+    rt_on, args_on, _ = runtimes["prof_on"]
+    stats_on = program.launch(rt_on, "matmul", Dim3(N // 8, N // 8),
+                              Dim3(8, 8), *args_on, profile=True)
     assert stats_on.line_profile is not None
     assert stats_on.line_profile.total_instructions > 0
 
     # the traced run must actually have traced something
-    tracer = configs["traced"].tracer
-    assert configs["traced"].metrics.get("webgpu_kernel_wall_seconds"), \
+    traced = configs["traced"][0]
+    assert traced.metrics.get("webgpu_kernel_wall_seconds"), \
         "traced config recorded no kernel histograms"
-    assert tracer.enabled
+    assert traced.tracer.enabled
 
 
 if __name__ == "__main__":

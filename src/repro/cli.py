@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--dataset", type=int, default=0,
                       help="dataset index to profile (default 0)")
     prof.add_argument("--engine", default=None,
-                      help="kernel engine (ast|closure|codegen|simd; "
+                      help="kernel engine (simd|codegen|ast; "
                            "the ledger is engine-invariant)")
     prof.add_argument("--top", type=int, default=5,
                       help="hot lines to summarize (default 5)")

@@ -112,8 +112,8 @@ def execute_lab_source(lab: LabDefinition, source: str, data: GeneratedData,
     :class:`repro.minicuda.CompileError`; runtime faults propagate as
     their interpreter/simulator exceptions (the sandbox layer catches
     and classifies them). ``engine`` selects the kernel execution
-    engine (``"closure"``/``"codegen"``/``"simd"``/``"ast"``; None → env var /
-    default).
+    engine (``"simd"``/``"codegen"``/``"ast"``; None → env var /
+    default ``"simd"``).
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is handed to
     the :class:`GpuRuntime` so per-kernel wall time and KernelStats
     land in the metrics registry; None keeps the launch path untimed.

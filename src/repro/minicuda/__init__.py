@@ -20,15 +20,16 @@ course (Table II):
   the scheduler's lockstep barrier and every memory access is profiled);
   host code runs against a CUDA-runtime + libwb host API
   (:mod:`repro.minicuda.hostapi`);
-* :mod:`repro.minicuda.codegen` — the ``closure`` kernel execution
-  engine (the default): lowers each checked kernel AST once into nested
-  Python closures, memoized per program fingerprint, with the
-  tree-walker kept as the ``ast`` reference oracle;
+* :mod:`repro.minicuda.simd` — the ``simd`` engine (the default):
+  lowers each eligible kernel to warp-wide numpy array programs with
+  masked lane predication;
 * :mod:`repro.minicuda.srcgen` — the ``codegen`` engine: lowers each
-  checked kernel to generated Python source compiled once per program
-  fingerprint, with a warp-vectorized fast path for divergence-free
-  kernels (fastest; shares the closure engine's memo table under
-  versioned keys).
+  checked kernel to generated Python source, run once per thread. It
+  takes every kernel the simd tier declines, and the tree-walker (the
+  ``ast`` engine and reference oracle) takes what it declines in turn;
+* :mod:`repro.minicuda.lowering` — what both compiled tiers share: the
+  kernel memo table keyed on the program fingerprint and a versioned
+  engine tag, the unsupported-construct verdict, and scalar coercers.
 
 The facade is :func:`repro.minicuda.compiler.compile_source`.
 """

@@ -71,8 +71,8 @@ class CompiledProgram:
                  profile: bool = False) -> HostRunResult:
         """Execute ``main`` (the usual lab entry point).
 
-        ``engine`` picks the kernel execution engine (``"closure"``,
-        ``"codegen"``, ``"simd"`` or ``"ast"``); None defers to
+        ``engine`` picks the kernel execution engine (``"simd"``,
+        ``"codegen"`` or ``"ast"``); None defers to
         ``WEBGPU_KERNEL_ENGINE`` / default. ``profile`` enables the
         per-source-line kernel profiler: each launch's ``KernelStats``
         carries a :class:`repro.profiler.LineProfile` ledger.

@@ -45,6 +45,12 @@ class HostApiError(Exception):
     """Misuse of a host builtin (wrong argument kinds, unknown call)."""
 
 
+#: Largest single host allocation (``malloc``/``calloc``) a program may
+#: request. Checked before allocating, so an oversized request is a
+#: HostApiError naming the size, not numpy's ``MemoryError``.
+MAX_HOST_ALLOC_BYTES = 1 << 30
+
+
 @dataclass
 class SolutionRecorded:
     """What ``wbSolution`` captured, for the grader to compare."""
@@ -253,15 +259,20 @@ class HostEnv:
     def _do_malloc(self, interp, args, pos) -> HostPtr:
         (nbytes,) = args
         self.syscall("mmap")
-        self.host_mallocs += 1
-        data = np.zeros(max(1, int(nbytes)), dtype=np.uint8)
-        return HostPtr(HostBuffer(data, f"malloc#{self.host_mallocs}"))
+        return self._host_alloc("malloc", int(nbytes), pos)
 
     def _do_calloc(self, interp, args, pos) -> HostPtr:
         n, size = args
+        return self._host_alloc("calloc", int(n) * int(size), pos)
+
+    def _host_alloc(self, fn: str, nbytes: int, pos: SourcePos) -> HostPtr:
+        if nbytes > MAX_HOST_ALLOC_BYTES:
+            raise HostApiError(
+                f"{pos}: {fn} of {nbytes} bytes exceeds the "
+                f"{MAX_HOST_ALLOC_BYTES}-byte host allocation limit")
         self.host_mallocs += 1
-        data = np.zeros(max(1, int(n) * int(size)), dtype=np.uint8)
-        return HostPtr(HostBuffer(data, f"calloc#{self.host_mallocs}"))
+        data = np.zeros(max(1, nbytes), dtype=np.uint8)
+        return HostPtr(HostBuffer(data, f"{fn}#{self.host_mallocs}"))
 
     def _do_free(self, interp, args, pos) -> int:
         return 0

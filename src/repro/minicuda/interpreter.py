@@ -220,20 +220,20 @@ def write_indexed(base: Any, index: Any, value: Any,
         f"value of type {type(base).__name__} is not indexable", pos)
 
 
-#: Kernel execution engines: ``closure`` (compiled, default),
-#: ``ast`` (the tree-walking reference oracle), ``codegen``
-#: (generated Python source with a warp-vectorized fast path), and
-#: ``simd`` (warp-SIMD numpy batching with masked lane predication;
-#: falls back to ``codegen`` per kernel when ineligible).
-ENGINES = ("closure", "ast", "codegen", "simd")
+#: Kernel execution engines, in fallback-ladder order: ``simd``
+#: (warp-SIMD numpy batching with masked lane predication; the
+#: default), ``codegen`` (generated Python source, run per thread),
+#: and ``ast`` (the tree-walking reference oracle). A compiled engine
+#: that declines a kernel hands it to the next one down.
+ENGINES = ("simd", "codegen", "ast")
 
 
 def resolve_engine(engine: str | None) -> str:
     """Resolve an engine choice: explicit argument, then the
-    ``WEBGPU_KERNEL_ENGINE`` environment variable, then ``closure``."""
+    ``WEBGPU_KERNEL_ENGINE`` environment variable, then ``simd``."""
     if engine is None:
         import os
-        engine = os.environ.get("WEBGPU_KERNEL_ENGINE") or "closure"
+        engine = os.environ.get("WEBGPU_KERNEL_ENGINE") or "simd"
     if engine not in ENGINES:
         raise InterpreterError(
             f"unknown kernel engine {engine!r} (expected one of {ENGINES})")
@@ -344,28 +344,23 @@ class Interpreter:
                     args: tuple[Any, ...]) -> Callable[[ThreadContext], Any]:
         """Package kernel ``name`` as a gpusim per-thread callable.
 
-        Under the default ``closure`` engine the kernel's AST is
-        lowered once into nested Python closures (memoized per
-        program+kernel); barrier-free kernels come back as plain
-        functions so the scheduler skips generator machinery entirely.
-        The ``codegen`` engine goes one step further and emits real
-        Python source per kernel (flat locals, ``compile()``-d once
-        per program fingerprint), attaching a warp-vectorized executor
-        to divergence-free kernels. The ``simd`` engine lowers eligible
-        kernels to whole-warp numpy array programs with masked lane
-        predication, falling back to ``codegen`` per kernel otherwise.
-        The ``ast`` engine — and any construct the compilers do not
-        support — takes the tree-walking path below.
+        The default ``simd`` engine lowers eligible kernels to
+        whole-warp numpy array programs with masked lane predication,
+        falling back to ``codegen`` per kernel otherwise. The
+        ``codegen`` engine emits real Python source per kernel (flat
+        locals, ``compile()``-d once per program fingerprint);
+        barrier-free kernels come back as plain functions so the
+        scheduler skips generator machinery entirely. The ``ast``
+        engine — and any kernel neither compiler supports — takes the
+        tree-walking path below.
         """
         fn = self.info.kernels.get(name)
         if fn is None:
             raise InterpreterError(f"no kernel {name!r}")
         coerced = self._coerce_args(fn, args)
 
-        if self.engine in ("closure", "codegen", "simd"):
-            if self.engine == "closure":
-                from repro.minicuda import codegen as backend
-            elif self.engine == "simd":
+        if self.engine != "ast":
+            if self.engine == "simd":
                 from repro.minicuda import simd as backend
             else:
                 from repro.minicuda import srcgen as backend

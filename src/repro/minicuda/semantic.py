@@ -13,10 +13,24 @@ from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
 from repro.minicuda.diagnostics import (
     NESTING_TOO_DEEP, CompileError, Diagnostic, SourcePos)
+from repro.minicuda.values import POINTER_SIZE, SCALAR_SIZES
 
 
 #: Device builtins that hit a block-wide barrier when called.
 BARRIER_BUILTINS = frozenset({"__syncthreads", "barrier"})
+
+#: Per-thread local memory a kernel may declare (CUDA's 512 KiB). Local
+#: array extents are compile-time constants, so a larger declaration is
+#: rejected here, as ptxas does, before any engine allocates it.
+MAX_LOCAL_BYTES = 512 * 1024
+
+
+def _array_bytes(ctype: ast.CType) -> int:
+    size = POINTER_SIZE if ctype.is_pointer else SCALAR_SIZES.get(
+        ctype.base, 4)
+    for dim in ctype.array_dims:
+        size *= dim
+    return size
 
 
 @dataclass
@@ -174,6 +188,14 @@ class Analyzer:
                 self.error("__shared__ is only allowed in device code",
                            stmt.pos)
             for decl in stmt.declarators:
+                if device and not stmt.shared and decl.type.is_array:
+                    nbytes = _array_bytes(decl.type)
+                    if nbytes > MAX_LOCAL_BYTES:
+                        self.error(
+                            f"local array {decl.name!r} uses too much "
+                            f"local data ({nbytes} bytes > "
+                            f"{MAX_LOCAL_BYTES} bytes per thread)",
+                            stmt.pos)
                 if decl.init is not None:
                     self._check_expr(decl.init, scope, fn, device)
                 for arg in decl.ctor_args:

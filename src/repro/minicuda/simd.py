@@ -1,10 +1,11 @@
 """Warp-SIMD numpy execution engine: masked lane batching.
 
-The fourth execution tier. Where the ``codegen`` engine emits scalar
-Python source executed once per thread, this engine lowers an eligible
-kernel body to numpy array programs executed once per *warp*: builtin
-indices become lane vectors, arithmetic becomes dtype-correct numpy
-ops on int64/float64 carriers, and global/shared accesses become
+The default engine and the top of the ladder simd → codegen → ast.
+Where the ``codegen`` engine (:mod:`repro.minicuda.srcgen`) emits
+scalar Python source executed once per thread, this engine lowers an
+eligible kernel body to numpy array programs executed once per *warp*:
+builtin indices become lane vectors, arithmetic becomes dtype-correct
+numpy ops on int64/float64 carriers, and global/shared accesses become
 gathers/scatters against the numpy storage of ``DeviceBuffer`` /
 ``SharedArray`` with vectorized bounds checks that reproduce the
 scalar fault message for the first offending lane.
@@ -24,10 +25,15 @@ error). Barrier kernels lower to a "spine": straight-line vectorized
 statements separated by yields, with uniform-condition loops driven
 by scalar conditions so whole warps arrive at every barrier together.
 
-Documented divergences from the scalar engines (shared with the
-codegen engine's ``vector_run``): faults surface in statement-major
-rather than thread-major order, and int64 carriers wrap where Python
-ints would grow unbounded.
+Documented divergences from the scalar engines: faults surface in
+statement-major rather than thread-major order, int64 carriers wrap
+where Python ints would grow unbounded, and atomics race in lockstep
+order. Lanes of a warp take a loop iteration's atomics together, where
+the scalar engines run one thread to its next barrier before the next
+thread starts. When an atomic's returned value decides a later access
+(``if (atomicCAS(...) == -1) ...`` in the bfs-queuing lab), a different
+lane can win the race, so access counts and the timing derived from
+them differ while race-free outputs agree.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from repro.gpusim.memory import DevicePtr, SharedArray
 from repro.gpusim.scheduler import SYNC, ThreadContext
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
-from repro.minicuda.codegen import (
+from repro.minicuda.lowering import (
     KERNEL_CACHE,
     _HANG_MSG,
     _OPENCL_INDEX_FNS,

@@ -1,17 +1,17 @@
 """Source-codegen execution engine for minicuda kernels.
 
-The closure engine (``repro.minicuda.codegen``) removed per-node AST
-dispatch but still pays one Python *call* per expression node. This
-module takes the next step — the pegen-experiments idiom of emitting
-**Python source text** and ``compile()``-ing it: each checked kernel is
-lowered to one generated Python function with flat local variables (no
-slot indirection, no closure chains), so per-thread execution is plain
-bytecode over plain locals.
+The ``codegen`` engine, and the scalar tier of the default ladder
+simd → codegen → ast: every kernel the ``simd`` engine declines runs
+here. Following the pegen-experiments idiom of emitting **Python source
+text** and ``compile()``-ing it, each checked kernel is lowered to one
+generated Python function with flat local variables, so per-thread
+execution is plain bytecode over plain locals with no per-node AST
+dispatch.
 
-Design points, mirroring the closure engine where it matters:
+Design points:
 
 * **KernelStats parity** — every ``stats.instructions`` charge point of
-  the closure engine is preserved, and all memory traffic still routes
+  the tree-walker is preserved, and all memory traffic still routes
   through the profiling :class:`ThreadContext`, so the profiled
   counters are bit-identical to the tree-walking oracle. Charges in a
   straight-line region are batched into one ``S.instructions += n``
@@ -21,22 +21,18 @@ Design points, mirroring the closure engine where it matters:
   hoisted onto its own generated line in C evaluation order, so the
   per-thread access sequence (and therefore the coalescing and
   bank-conflict model) matches the oracle exactly.
-* **Step accounting** is the closure engine's coarse scheme: one step
-  per kernel/device-function entry and per loop iteration, raising
-  :class:`KernelHang` with the same message.
+* **Step accounting** is deliberately coarser than the tree-walker's:
+  one step per kernel/device-function entry and per loop iteration
+  (rather than per AST node), which still bounds every non-terminating
+  program, raising :class:`KernelHang` with the same message.
 * **Fallback** — constructs the emitter cannot lower (address of a
   scalar local, barriers in expression/for-init position, calls to
   barrier device functions, ``continue`` inside ``switch``, OpenACC)
   raise :class:`UnsupportedConstruct`; the caller falls back to the
-  tree-walker, and the verdict is memoized like the closure engine's.
-* **Warp-vectorized fast path** — kernels whose bodies are free of
-  loops, barriers and non-maskable constructs additionally compile to
-  a warp-level executor that runs a whole warp's arithmetic as batched
-  numpy-object operations over the active lanes, with masked ``if``
-  execution and per-lane retirement on ``return``; the scheduler runs
-  it one warp at a time. Any kernel outside that shape simply executes
-  lane-by-lane (the scalar generated function), which is the fallback
-  at the first divergent construct.
+  tree-walker, and the verdict is memoized like a compiled kernel.
+* **Barriers** — barrier-free kernels compile to plain functions the
+  scheduler calls directly; kernels with a top-level barrier statement
+  compile to generators that ``yield SYNC`` like the tree-walker.
 
 Error-path divergence is deliberate and documented: generated code
 lets Python ``TypeError``s from malformed operand types surface raw
@@ -44,9 +40,9 @@ instead of wrapping them in :class:`InterpreterError`, and a kernel
 that faults mid-statement may have batched instruction charges not yet
 flushed. Successful runs are bit-identical.
 
-Compiled kernels are memoized per program fingerprint through the same
-:data:`repro.minicuda.codegen.KERNEL_CACHE` the closure engine uses,
-under engine- and version-tagged keys (see :func:`codegen.memo_key`).
+Compiled kernels are memoized per program fingerprint in
+:data:`repro.minicuda.lowering.KERNEL_CACHE`, under engine- and
+version-tagged keys (see :func:`repro.minicuda.lowering.memo_key`).
 """
 
 from __future__ import annotations
@@ -57,10 +53,10 @@ import numpy as np
 
 from repro.gpusim.grid import Dim3
 from repro.gpusim.memory import DevicePtr, SharedArray
-from repro.gpusim.scheduler import SYNC, ThreadContext
+from repro.gpusim.scheduler import SYNC
 from repro.minicuda import ast_nodes as ast
 from repro.minicuda import builtins as bi
-from repro.minicuda.codegen import (
+from repro.minicuda.lowering import (
     KERNEL_CACHE,
     UnsupportedConstruct,
     _HANG_MSG,
@@ -74,7 +70,6 @@ from repro.minicuda.codegen import (
     memo_key,
 )
 from repro.minicuda.interpreter import (
-    _BINOPS,
     _MATH_IMPL,
     InterpreterError,
     KernelHang,
@@ -105,7 +100,7 @@ from repro.minicuda.values import f32 as _f32_shared
 
 #: Bump when generated-source semantics change; part of the memo key so
 #: stale artifacts and unsupported verdicts are never recalled across
-#: compiler upgrades (see ``codegen.memo_key``).
+#: compiler upgrades (see ``lowering.memo_key``).
 SRCGEN_VERSION = 1
 
 _COMPARISONS = ("<", "<=", ">", ">=")
@@ -273,33 +268,27 @@ def _arith_kind(left: Any, right: Any) -> Any:
 class CompiledSrcKernel:
     """A kernel lowered to generated Python source."""
 
-    __slots__ = ("name", "factory", "is_gen", "coercers", "warp_factory",
-                 "source", "profiled")
+    __slots__ = ("name", "factory", "is_gen", "coercers", "source",
+                 "profiled")
 
     def __init__(self, name: str, factory: Callable, is_gen: bool,
-                 coercers: list, warp_factory: Callable | None,
-                 source: str, profiled: bool = False):
+                 coercers: list, source: str, profiled: bool = False):
         self.name = name
         self.factory = factory
         self.is_gen = is_gen
         self.coercers = coercers
-        self.warp_factory = warp_factory
         self.source = source
         self.profiled = profiled
 
     def bind(self, interp: Any, args: tuple[Any, ...]) -> Callable:
         """Per-launch thread callable; plain function unless the kernel
-        barriers. Qualifying plain kernels carry a ``vector_run``
-        attribute the scheduler uses to execute whole warps at once.
-        Profiled kernels run lane-by-lane and carry the ``profiled``
-        marker the scheduler dispatches on."""
+        barriers. Profiled kernels carry the ``profiled`` marker the
+        scheduler dispatches on."""
         args2 = tuple(a if co is None else co(a)
                       for co, a in zip(self.coercers, args))
         thread_fn = self.factory(interp, *args2)
         if self.profiled:
             thread_fn.profiled = True
-        elif self.warp_factory is not None and not self.is_gen:
-            thread_fn.vector_run = self.warp_factory(interp, args2)
         return thread_fn
 
 
@@ -798,7 +787,7 @@ class _FnEmitter:
 
     def _combine(self, bop: str, cur: str, curk: Any, val: str,
                  valk: Any) -> tuple[str, Any]:
-        """``cur bop val`` with the closure engine's pointer-aware
+        """``cur bop val`` with the tree-walker's pointer-aware
         semantics (the DevicePtr/HostPtr dunders already int() their
         operand, so plain + / - matches)."""
         if bop in ("+", "-", "*"):
@@ -1561,460 +1550,8 @@ class _ModuleEmitter:
         exec(code, ns)  # noqa: S102 - our own generated source
 
         coercers = [_make_coercer(p.type) for p in fn.params]
-        warp_factory = None
-        if not em.has_yield and not self.profile:
-            # the warp-batched path has no per-line bookkeeping;
-            # profiled kernels always run lane-by-lane
-            warp_factory = _compile_warp(self.info, self.global_names, fn)
         return CompiledSrcKernel(fn.name, ns[factory], em.has_yield,
-                                 coercers, warp_factory, source,
-                                 profiled=self.profile)
-
-
-# -- warp-vectorized fast path ------------------------------------------------
-
-class _WarpUnsupported(Exception):
-    """This kernel shape cannot run warp-batched; use the scalar path."""
-
-
-_VBIN = {op: np.frompyfunc(fn, 2, 1) for op, fn in _BINOPS.items()}
-_VTRUTHY = np.frompyfunc(_truthy, 1, 1)
-_VCO = {
-    "int": np.frompyfunc(_coerce_int, 1, 1),
-    "f32": np.frompyfunc(_coerce_f32, 1, 1),
-    "f64": np.frompyfunc(_coerce_f64, 1, 1),
-    "bool": np.frompyfunc(_coerce_bool, 1, 1),
-}
-_VNEG = np.frompyfunc(lambda v: -v, 1, 1)
-_VNOT = np.frompyfunc(lambda v: int(not _truthy(v)), 1, 1)
-_VINV = np.frompyfunc(lambda v: ~int(v), 1, 1)
-_VMATH = {name: np.frompyfunc(impl, 1, 1) for name, impl in
-          _MATH_IMPL.items() if name not in ("min", "max", "fminf",
-                                             "fmaxf", "fmin", "fmax",
-                                             "pow", "powf", "__fdividef")}
-_VMATH2 = {name: np.frompyfunc(_MATH_IMPL[name], 2, 1) for name in
-           ("min", "max", "fminf", "fmaxf", "fmin", "fmax", "pow",
-            "powf", "__fdividef")}
-
-
-class _WarpState:
-    __slots__ = ("ctxs", "n", "frame", "stats", "_bi")
-
-    def __init__(self, ctxs: list, frame_size: int):
-        self.ctxs = ctxs
-        self.n = len(ctxs)
-        self.frame: list = [None] * frame_size
-        self.stats = ctxs[0]._block.stats
-        self._bi: dict[str, np.ndarray] = {}
-
-    def builtin(self, name: str, field: str) -> np.ndarray:
-        key = f"{name}.{field}"
-        arr = self._bi.get(key)
-        if arr is None:
-            arr = np.array([getattr(getattr(c, name), field)
-                            for c in self.ctxs], dtype=object)
-            self._bi[key] = arr
-        return arr
-
-
-class _WarpCompiler:
-    """Lowers a loop/barrier-free kernel body to warp-level closures.
-
-    Every expression evaluates to a length-``len(idx)`` object ndarray
-    aligned with ``idx``, the active lane indices. ``if`` partitions
-    ``idx`` by the condition's truth per lane; ``return`` retires
-    lanes by returning a reduced ``idx`` from the statement closure.
-    Anything else (loops, barriers, atomics, pointer tricks) raises
-    :class:`_WarpUnsupported` — those kernels run lane-by-lane.
-    """
-
-    def __init__(self, info: ProgramInfo, global_names: frozenset[str]):
-        self.info = info
-        self.global_names = global_names
-        self.scopes: list[dict[str, tuple[int, str | None]]] = [{}]
-        self.frame_size = 0
-
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
-    def alloc(self, name: str, cokind: str | None) -> int:
-        slot = self.frame_size
-        self.frame_size += 1
-        self.scopes[-1][name] = (slot, cokind)
-        return slot
-
-    def lookup(self, name: str) -> tuple[int, str | None] | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    # -- expressions ----------------------------------------------------------
-
-    def expr(self, e: ast.Expr) -> Callable:
-        cls = type(e)
-        if cls in (ast.IntLit, ast.FloatLit, ast.BoolLit):
-            value = e.value
-            return lambda st, idx: np.full(len(idx), value, dtype=object)
-        if cls is ast.Ident:
-            return self._ident(e)
-        if cls is ast.Member:
-            return self._member(e)
-        if cls is ast.Index:
-            return self._index_read(e)
-        if cls is ast.Binary:
-            return self._binary(e)
-        if cls is ast.Unary:
-            return self._unary(e)
-        if cls is ast.Cast:
-            return self._cast(e)
-        if cls is ast.SizeOf:
-            size = sizeof_ctype(e.type)
-            return lambda st, idx: np.full(len(idx), size, dtype=object)
-        if cls is ast.Call:
-            return self._call(e)
-        raise _WarpUnsupported(f"expression {cls.__name__}")
-
-    def _ident(self, e: ast.Ident) -> Callable:
-        hit = self.lookup(e.name)
-        if hit is not None:
-            slot = hit[0]
-            return lambda st, idx: st.frame[slot][idx]
-        if e.name == "warpSize":
-            return lambda st, idx: np.full(
-                len(idx), st.ctxs[0]._block.device.spec.warp_size,
-                dtype=object)
-        if e.name in bi.DEVICE_CONSTANTS:
-            const = bi.DEVICE_CONSTANTS[e.name]
-            return lambda st, idx: np.full(len(idx), const, dtype=object)
-        raise _WarpUnsupported(f"identifier {e.name!r}")
-
-    def _member(self, e: ast.Member) -> Callable:
-        obj, field = e.obj, e.field_name
-        if isinstance(obj, ast.Ident) and field in ("x", "y", "z") \
-                and obj.name in _BUILTIN_IDX \
-                and self.lookup(obj.name) is None \
-                and obj.name not in self.global_names:
-            name = obj.name
-            return lambda st, idx: st.builtin(name, field)[idx]
-        raise _WarpUnsupported("member access")
-
-    def _index_read(self, e: ast.Index) -> Callable:
-        base_c = self.expr(e.base)
-        index_c = self.expr(e.index)
-        pos = e.pos
-
-        def vload(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            bases = base_c(st, idx)
-            indices = index_c(st, idx)
-            out = np.empty(len(idx), dtype=object)
-            ctxs = st.ctxs
-            for j, lane in enumerate(idx):
-                b = bases[j]
-                ctx = ctxs[lane]
-                if type(b) is DevicePtr:
-                    out[j] = ctx.load(b, int(indices[j]))
-                else:
-                    out[j] = read_indexed(b, indices[j], ctx, pos)
-            return out
-        return vload
-
-    def _binary(self, e: ast.Binary) -> Callable:
-        if e.op in ("&&", "||"):
-            raise _WarpUnsupported("short-circuit operator")
-        left_c = self.expr(e.left)
-        right_c = self.expr(e.right)
-        vop = _VBIN[e.op]
-
-        def vbin(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            left = left_c(st, idx)
-            right = right_c(st, idx)
-            st.stats.instructions += len(idx)
-            return vop(left, right)
-        return vbin
-
-    def _unary(self, e: ast.Unary) -> Callable:
-        op = e.op
-        if op not in ("-", "+", "!", "~"):
-            raise _WarpUnsupported(f"unary {op!r}")
-        operand_c = self.expr(e.operand)
-        vop = {"-": _VNEG, "+": None, "!": _VNOT, "~": _VINV}[op]
-
-        def vun(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            values = operand_c(st, idx)
-            st.stats.instructions += len(idx)
-            return values if vop is None else vop(values)
-        return vun
-
-    def _cast(self, e: ast.Cast) -> Callable:
-        if e.type.is_pointer:
-            raise _WarpUnsupported("pointer cast")
-        value_c = self.expr(e.value)
-        co = _make_coercer(e.type)
-        if co is None:
-            return value_c
-        vco = _VCO[{_coerce_int: "int", _coerce_f32: "f32",
-                    _coerce_f64: "f64", _coerce_bool: "bool"}[co]]
-        return lambda st, idx: vco(value_c(st, idx))
-
-    def _call(self, e: ast.Call) -> Callable:
-        name = e.name
-        if name in _VMATH and len(e.args) == 1:
-            arg_c = self.expr(e.args[0])
-            vfn = _VMATH[name]
-
-            def vmath1(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                values = arg_c(st, idx)
-                st.stats.instructions += len(idx)
-                return vfn(values)
-            return vmath1
-        if name in _VMATH2 and len(e.args) == 2:
-            a_c = self.expr(e.args[0])
-            b_c = self.expr(e.args[1])
-            vfn = _VMATH2[name]
-
-            def vmath2(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                a = a_c(st, idx)
-                b = b_c(st, idx)
-                st.stats.instructions += len(idx)
-                return vfn(a, b)
-            return vmath2
-        if name in _OPENCL_INDEX_FNS:
-            dim_c = self.expr(e.args[0])
-
-            def vopencl(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                dims = dim_c(st, idx)
-                out = np.empty(len(idx), dtype=object)
-                for j, lane in enumerate(idx):
-                    out[j] = _opencl_index(name, int(dims[j]),
-                                           st.ctxs[lane])
-                return out
-            return vopencl
-        raise _WarpUnsupported(f"call to {name!r}")
-
-    # -- statements -------------------------------------------------------------
-
-    def stmt(self, s: ast.Stmt) -> Callable:
-        cls = type(s)
-        if cls is ast.DeclStmt:
-            return self._decl(s)
-        if cls is ast.ExprStmt:
-            return self._expr_stmt(s)
-        if cls is ast.If:
-            return self._if(s)
-        if cls is ast.Return:
-            return self._return(s)
-        if cls is ast.Block:
-            self.push()
-            stmts = [self.stmt(inner) for inner in s.statements]
-            self.pop()
-
-            def vblock(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                for fn in stmts:
-                    idx = fn(st, idx)
-                    if not len(idx):
-                        break
-                return idx
-            return vblock
-        if cls is ast.Empty:
-            return lambda st, idx: idx
-        raise _WarpUnsupported(f"statement {cls.__name__}")
-
-    def _decl(self, s: ast.DeclStmt) -> Callable:
-        if s.shared:
-            raise _WarpUnsupported("shared declaration")
-        actions = []
-        for decl in s.declarators:
-            ctype = decl.type
-            if ctype.is_array or (ctype.base == "dim3"
-                                  and not ctype.is_pointer):
-                raise _WarpUnsupported("non-scalar declaration")
-            _, cokind = _ctype_kinds(ctype)
-            init_c = self.expr(decl.init) if decl.init is not None else None
-            slot = self.alloc(decl.name, cokind)
-            vco = _VCO.get(cokind)
-            if init_c is None:
-                default = NULL if ctype.is_pointer else coerce(0, ctype)
-
-                def act(st, idx, slot=slot, default=default):
-                    arr = st.frame[slot]
-                    if arr is None:
-                        arr = np.empty(st.n, dtype=object)
-                        st.frame[slot] = arr
-                    arr[idx] = default
-                actions.append(act)
-                continue
-
-            def act(st, idx, slot=slot, init_c=init_c, vco=vco):
-                arr = st.frame[slot]
-                if arr is None:
-                    arr = np.empty(st.n, dtype=object)
-                    st.frame[slot] = arr
-                values = init_c(st, idx)
-                arr[idx] = vco(values) if vco is not None else values
-            actions.append(act)
-
-        def vdecl(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            for act in actions:
-                act(st, idx)
-            return idx
-        return vdecl
-
-    def _expr_stmt(self, s: ast.ExprStmt) -> Callable:
-        expr = s.expr
-        if isinstance(expr, ast.Assign):
-            return self._assign(expr)
-        if isinstance(expr, ast.IncDec):
-            return self._vincdec(expr)
-        raise _WarpUnsupported("expression statement")
-
-    def _assign(self, e: ast.Assign) -> Callable:
-        compound = e.op != "="
-        vbop = _VBIN[e.op[:-1]] if compound else None
-        target = e.target
-        value_c = self.expr(e.value)
-        if isinstance(target, ast.Ident):
-            hit = self.lookup(target.name)
-            if hit is None:
-                raise _WarpUnsupported("assignment target")
-            slot, cokind = hit
-            vco = _VCO.get(cokind)
-
-            def vassign(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                values = value_c(st, idx)
-                if vbop is not None:
-                    values = vbop(st.frame[slot][idx], values)
-                st.stats.instructions += len(idx)
-                st.frame[slot][idx] = vco(values) if vco is not None \
-                    else values
-                return idx
-            return vassign
-        if isinstance(target, ast.Index):
-            base_c = self.expr(target.base)
-            index_c = self.expr(target.index)
-            pos = target.pos
-
-            def vstore(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-                bases = base_c(st, idx)
-                indices = index_c(st, idx)
-                values = value_c(st, idx)
-                ctxs = st.ctxs
-                if vbop is not None:
-                    current = np.empty(len(idx), dtype=object)
-                    for j, lane in enumerate(idx):
-                        b = bases[j]
-                        ctx = ctxs[lane]
-                        if type(b) is DevicePtr:
-                            current[j] = ctx.load(b, int(indices[j]))
-                        else:
-                            current[j] = read_indexed(b, indices[j], ctx,
-                                                      pos)
-                    values = vbop(current, values)
-                st.stats.instructions += len(idx)
-                for j, lane in enumerate(idx):
-                    b = bases[j]
-                    ctx = ctxs[lane]
-                    if type(b) is DevicePtr:
-                        ctx.store(b, int(indices[j]), values[j])
-                    else:
-                        write_indexed(b, indices[j], values[j], ctx, pos)
-                return idx
-            return vstore
-        raise _WarpUnsupported("assignment target")
-
-    def _vincdec(self, e: ast.IncDec) -> Callable:
-        if not isinstance(e.operand, ast.Ident):
-            raise _WarpUnsupported("increment target")
-        hit = self.lookup(e.operand.name)
-        if hit is None:
-            raise _WarpUnsupported("increment target")
-        slot, cokind = hit
-        vco = _VCO.get(cokind)
-        delta = 1 if e.op == "++" else -1
-
-        def vincdec(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            values = st.frame[slot][idx] + delta
-            st.stats.instructions += len(idx)
-            st.frame[slot][idx] = vco(values) if vco is not None else values
-            return idx
-        return vincdec
-
-    def _if(self, s: ast.If) -> Callable:
-        cond_c = self.expr(s.cond)
-        self.push()
-        then_c = self.stmt(s.then)
-        self.pop()
-        else_c = None
-        if s.otherwise is not None:
-            self.push()
-            else_c = self.stmt(s.otherwise)
-            self.pop()
-
-        def vif(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            cond = cond_c(st, idx)
-            truth = _VTRUTHY(cond).astype(bool)
-            then_idx = idx[truth]
-            else_idx = idx[~truth]
-            if len(then_idx):
-                then_idx = then_c(st, then_idx)
-            if else_c is not None and len(else_idx):
-                else_idx = else_c(st, else_idx)
-            if not len(else_idx):
-                return then_idx
-            if not len(then_idx):
-                return else_idx
-            return np.sort(np.concatenate([then_idx, else_idx]))
-        return vif
-
-    def _return(self, s: ast.Return) -> Callable:
-        value_c = self.expr(s.value) if s.value is not None else None
-        empty = np.empty(0, dtype=np.intp)
-
-        def vreturn(st: _WarpState, idx: np.ndarray) -> np.ndarray:
-            if value_c is not None:
-                value_c(st, idx)
-            return empty
-        return vreturn
-
-
-def _compile_warp(info: ProgramInfo, global_names: frozenset[str],
-                  fn: ast.FuncDef) -> Callable | None:
-    """Build the warp-batched executor factory for a qualifying kernel
-    (None when the kernel shape requires the lane-by-lane path)."""
-    wc = _WarpCompiler(info, global_names)
-    try:
-        wc.push()
-        param_slots = []
-        for i, param in enumerate(fn.params):
-            _, cokind = _ctype_kinds(param.type)
-            param_slots.append(wc.alloc(param.name or f"_unnamed{i}",
-                                        cokind))
-        wc.push()
-        stmts = [wc.stmt(s) for s in fn.body.statements]
-    except _WarpUnsupported:
-        return None
-    frame_size = wc.frame_size
-    entry_pos = fn.pos
-
-    def warp_factory(interp: Any, args: tuple[Any, ...]) -> Callable:
-        def vector_run(ctxs: list) -> None:
-            n = len(ctxs)
-            interp.steps += n
-            if interp.steps > interp.max_steps:
-                raise KernelHang(_HANG_MSG, entry_pos)
-            st = _WarpState(ctxs, frame_size)
-            for slot, arg in zip(param_slots, args):
-                st.frame[slot] = np.full(n, arg, dtype=object)
-            idx = np.arange(n, dtype=np.intp)
-            for stmt_fn in stmts:
-                idx = stmt_fn(st, idx)
-                if not len(idx):
-                    break
-        return vector_run
-    return warp_factory
+                                 coercers, source, profiled=self.profile)
 
 
 # -- memoized program → kernel compilation -------------------------------------
@@ -2069,7 +1606,7 @@ def compile_kernel(info: ProgramInfo, name: str,
     support (the caller falls back to the tree-walker). Both outcomes
     are memoized on the program's attached artifact and — when the
     program carries a preprocessed-source fingerprint — in the shared
-    :data:`repro.minicuda.codegen.KERNEL_CACHE` under a versioned
+    :data:`repro.minicuda.lowering.KERNEL_CACHE` under a versioned
     ``codegen`` engine key. Profiled compilation (line-ledger emitting
     source) memoizes under its own engine tag.
     """

@@ -14,7 +14,7 @@ from repro.minicuda.ast_nodes import CType
 def f32(value: Any, _c: Any = ctypes.c_float) -> float:
     """Round a Python number through IEEE binary32 — the single source
     of truth for ``float``-typed coercion across every execution engine
-    (tree-walker, closure, codegen, simd). The ctypes round-trip is
+    (simd, codegen, tree-walker). The ctypes round-trip is
     bit-identical to ``float(np.float32(value))`` (round-to-nearest-
     even, overflow to inf, subnormal flush per IEEE) at a fraction of
     the numpy scalar-construction cost."""

@@ -97,8 +97,8 @@ KERNEL_WALL_SECONDS = "webgpu_kernel_wall_seconds"
 KERNEL_SIM_SECONDS = "webgpu_kernel_sim_seconds"
 
 #: Per-engine kernel compile/exec breakdown (labeled ``engine=`` and
-#: ``kernel=``) — lets the dashboard compare the ast / closure /
-#: codegen backends launch-for-launch.
+#: ``kernel=``) — lets the dashboard compare the simd / codegen / ast
+#: backends launch-for-launch.
 KERNEL_COMPILE_SECONDS = "webgpu_kernel_engine_compile_seconds"
 KERNEL_EXEC_SECONDS = "webgpu_kernel_engine_exec_seconds"
 

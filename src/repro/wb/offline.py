@@ -41,7 +41,7 @@ def run_offline(source: str, data: GeneratedData,
     lets runtime faults propagate — offline development shows the raw
     toolchain behaviour, unlike the worker which wraps everything.
     ``engine`` selects the kernel execution engine
-    (closure/codegen/simd/ast).
+    (simd/codegen/ast).
     """
     program = compile_source(source)
     runtime = GpuRuntime(Device(spec))

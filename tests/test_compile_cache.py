@@ -178,7 +178,7 @@ def _stats(execution):
             for s in execution.kernel_stats]
 
 
-@pytest.mark.parametrize("engine", ["ast", "closure", "codegen", "simd"])
+@pytest.mark.parametrize("engine", ["ast", "codegen", "simd"])
 @pytest.mark.parametrize("slug", ["tiled-matmul", "reduction-scan",
                                   "input-binning", "opencl-vecadd",
                                   "mpi-stencil"])

@@ -1,6 +1,6 @@
 """Hostile inputs end in a classified outcome, not an escaped exception:
-nesting deeper than the front end can follow, and declared sizes
-beyond the device's limits."""
+nesting deeper than the front end can follow, and declared or requested
+sizes beyond the device's, the thread's or the host's limits."""
 
 from __future__ import annotations
 
@@ -17,10 +17,11 @@ from repro.labs import get_lab
 from repro.labs.base import execute_lab_source
 from repro.minicuda import CompileCache, CompileError, compile_source
 from repro.minicuda.diagnostics import NESTING_TOO_DEEP
+from repro.minicuda.hostapi import HostApiError
 from repro.minicuda.preprocessor import preprocess
 
 VECADD = get_lab("vector-add")
-ENGINES = ["ast", "closure", "codegen", "simd"]
+ENGINES = ["ast", "codegen", "simd"]
 
 
 def nested(depth: int) -> str:
@@ -139,3 +140,32 @@ def test_oversized_sizes_are_classified_runtime_errors_in_worker():
     (outcome,) = result.datasets
     assert outcome.outcome == "runtime_error"
     assert "shared memory exceeded" in outcome.report
+
+
+def test_oversized_local_array_is_a_positioned_compile_error():
+    source = with_kernel_prefix("float big[1073741824];\n  big[0] = 1.0f;")
+    with pytest.raises(CompileError) as info:
+        compile_source(source)
+    (diag,) = info.value.diagnostics
+    assert diag.message == (
+        "local array 'big' uses too much local data "
+        "(4294967296 bytes > 524288 bytes per thread)")
+    text = preprocess(source)
+    assert diag.pos.line == text.count("\n", 0, text.index("float big")) + 1
+
+
+@pytest.mark.parametrize("call,fn", [("malloc(1099511627776)", "malloc"),
+                                     ("calloc(1048576, 1048576)", "calloc")])
+def test_oversized_host_allocation_fails_before_allocating(call, fn):
+    source = VECADD.solution.replace(
+        "  args = wbArg_read(argc, argv);",
+        f"  char *p = (char *){call};\n  args = wbArg_read(argc, argv);", 1)
+    with pytest.raises(HostApiError) as info:
+        execute_lab_source(VECADD, source, VECADD.dataset(0))
+    assert str(info.value).endswith(
+        f"{fn} of 1099511627776 bytes exceeds the 1073741824-byte host "
+        "allocation limit")
+    worker = GpuWorker(WorkerConfig(), clock=ManualClock())
+    (outcome,) = worker.process(Job(lab=VECADD, source=source)).datasets
+    assert outcome.outcome == "runtime_error"
+    assert f"{fn} of 1099511627776 bytes" in outcome.report

@@ -1,7 +1,7 @@
 """Compiled kernel engines: parity, memoization, fallback.
 
-Covers both compiled backends — ``closure`` (callable trees) and
-``codegen`` (generated Python source) — against the ``ast``
+Covers both compiled backends — ``codegen`` (generated Python source)
+and ``simd`` (warp-wide numpy programs) — against the ``ast``
 tree-walker oracle.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from repro.gpusim import Device, GpuRuntime
 from repro.gpusim.grid import Dim3
 from repro.minicuda import HostEnv, compile_source
-from repro.minicuda import codegen, srcgen
+from repro.minicuda import lowering, simd, srcgen
 from repro.minicuda.interpreter import ENGINES, Interpreter
 
 COMPILED_ENGINES = tuple(e for e in ENGINES if e != "ast")
@@ -152,6 +152,9 @@ int main() { return 0; }
 
 
 class TestCompilation:
+    """The default engine's compilation contract (simd; the codegen
+    engine's own is pinned in :class:`TestSrcgenEngine`)."""
+
     def test_barrier_free_kernel_compiles_to_plain_function(self):
         source = """
 __global__ void k(float *out, int n) {
@@ -161,15 +164,20 @@ __global__ void k(float *out, int n) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        compiled = codegen.compile_kernel(program.info, "k")
-        assert compiled is not None
-        assert not compiled.is_gen
+        compiled = simd.compile_kernel(program.info, "k")
+        assert isinstance(compiled, simd.CompiledSimdKernel)
+        assert not compiled.src.is_gen
         rt = GpuRuntime(Device())
-        interp = Interpreter(program.info, rt, None, engine="closure")
-        thread_fn = interp.make_kernel(
-            "k", (rt.malloc(8, "float").ptr(), 8))
-        # the scheduler fast path keys off this
-        assert not inspect.isgeneratorfunction(thread_fn)
+        for engine in ("simd", "codegen"):
+            interp = Interpreter(program.info, rt, None, engine=engine)
+            thread_fn = interp.make_kernel(
+                "k", (rt.malloc(8, "float").ptr(), 8))
+            # the scheduler fast path keys off this
+            assert not inspect.isgeneratorfunction(thread_fn)
+            # whole-warp execution is the simd tier's alone; the
+            # scalar tier runs lane by lane
+            assert (getattr(thread_fn, "vector_run", None) is not None) \
+                == (engine == "simd")
 
     def test_barrier_kernel_compiles_to_generator(self):
         source = """
@@ -182,13 +190,14 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        compiled = codegen.compile_kernel(program.info, "k")
-        assert compiled is not None
-        assert compiled.is_gen
+        compiled = simd.compile_kernel(program.info, "k")
+        assert isinstance(compiled, simd.CompiledSimdKernel)
+        assert compiled.src.is_gen
         rt = GpuRuntime(Device())
-        interp = Interpreter(program.info, rt, None, engine="closure")
+        interp = Interpreter(program.info, rt, None, engine="simd")
         thread_fn = interp.make_kernel("k", (rt.malloc(32, "float").ptr(),))
         assert inspect.isgeneratorfunction(thread_fn)
+        assert callable(getattr(thread_fn, "warp_run", None))
 
     def test_artifact_memoized_on_program(self):
         source = """
@@ -196,8 +205,9 @@ __global__ void k(float *out) { out[0] = 1.0f; }
 int main() { return 0; }
 """
         program = compile_source(source)
-        first = codegen.compile_kernel(program.info, "k")
-        second = codegen.compile_kernel(program.info, "k")
+        first = simd.compile_kernel(program.info, "k")
+        second = simd.compile_kernel(program.info, "k")
+        assert isinstance(first, simd.CompiledSimdKernel)
         assert first is second
 
     def test_cross_program_memoization_by_fingerprint(self):
@@ -211,8 +221,8 @@ int main() { return 0; }
         p2 = compile_source(source)
         assert p1.info.fingerprint == p2.info.fingerprint
         assert p1.info is not p2.info
-        k1 = codegen.compile_kernel(p1.info, "k")
-        k2 = codegen.compile_kernel(p2.info, "k")
+        k1 = simd.compile_kernel(p1.info, "k")
+        k2 = simd.compile_kernel(p2.info, "k")
         assert k1 is k2
 
 
@@ -227,13 +237,15 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert codegen.compile_kernel(program.info, "k") is None
+        assert srcgen.compile_kernel(program.info, "k") is None
+        assert simd.compile_kernel(program.info, "k") is None
         # the unsupported verdict is memoized, and the tree-walker
-        # still runs the kernel under the default closure engine
-        assert codegen.compile_kernel(program.info, "k") is None
+        # still runs the kernel under the default simd engine
+        assert srcgen.compile_kernel(program.info, "k") is None
+        assert simd.compile_kernel(program.info, "k") is None
         rt = GpuRuntime(Device())
         out = rt.malloc(1, "float")
-        program.launch(rt, "k", 1, 1, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 1, out.ptr(), engine="simd")
         assert rt.memcpy_dtoh(out)[0] == 2.0
 
     def test_barrier_device_function_falls_back(self):
@@ -250,10 +262,11 @@ int main() { return 0; }
         program = compile_source(source)
         assert "phase_sync" in program.info.barrier_functions
         assert "k" in program.info.barrier_functions
-        assert codegen.compile_kernel(program.info, "k") is None
+        assert srcgen.compile_kernel(program.info, "k") is None
+        assert simd.compile_kernel(program.info, "k") is None
         rt = GpuRuntime(Device())
         out = rt.malloc(32, "float")
-        program.launch(rt, "k", 1, 32, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 32, out.ptr(), engine="simd")
         assert list(rt.memcpy_dtoh(out)) == [float(31 - i)
                                              for i in range(32)]
 
@@ -266,10 +279,11 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         program = compile_source(source)
-        assert codegen.compile_kernel(program.info, "k") is not None
+        assert srcgen.compile_kernel(program.info, "k") is not None
+        assert simd.compile_kernel(program.info, "k") is not None
         rt = GpuRuntime(Device())
         out = rt.malloc(8, "float")
-        program.launch(rt, "k", 1, 8, out.ptr(), engine="closure")
+        program.launch(rt, "k", 1, 8, out.ptr(), engine="simd")
         assert list(rt.memcpy_dtoh(out)) == [float(i ** 3)
                                              for i in range(8)]
 
@@ -285,17 +299,19 @@ int main() { return 0; }
         # ``kernelcode:{fingerprint}:{name}`` with no engine or
         # version component, so a table outliving a compiler upgrade
         # replayed pre-upgrade artifacts (and stale None verdicts)
-        p1 = compile_source(self.SOURCE)
-        k1 = codegen.compile_kernel(p1.info, "k")
-        monkeypatch.setattr(codegen, "CLOSURE_CODEGEN_VERSION",
-                            codegen.CLOSURE_CODEGEN_VERSION + 1)
-        p2 = compile_source(self.SOURCE)
-        k2 = codegen.compile_kernel(p2.info, "k")
-        assert p1.info.fingerprint == p2.info.fingerprint
-        assert k1 is not k2  # fresh compile, not a stale replay
-        # same version + fingerprint still memoizes
-        p3 = compile_source(self.SOURCE)
-        assert codegen.compile_kernel(p3.info, "k") is k2
+        for backend, version in ((srcgen, "SRCGEN_VERSION"),
+                                 (simd, "SIMD_VERSION")):
+            p1 = compile_source(self.SOURCE)
+            k1 = backend.compile_kernel(p1.info, "k")
+            monkeypatch.setattr(backend, version,
+                                getattr(backend, version) + 1)
+            p2 = compile_source(self.SOURCE)
+            k2 = backend.compile_kernel(p2.info, "k")
+            assert p1.info.fingerprint == p2.info.fingerprint
+            assert k1 is not k2  # fresh compile, not a stale replay
+            # same version + fingerprint still memoizes
+            p3 = compile_source(self.SOURCE)
+            assert backend.compile_kernel(p3.info, "k") is k2
 
     def test_version_bump_recomputes_unsupported_verdict(self, monkeypatch):
         source = """
@@ -307,32 +323,31 @@ __global__ void k(float *out) {
 int main() { return 0; }
 """
         p1 = compile_source(source)
-        assert codegen.compile_kernel(p1.info, "k") is None
-        before = codegen.KERNEL_CACHE.compute_count
-        monkeypatch.setattr(codegen, "CLOSURE_CODEGEN_VERSION",
-                            codegen.CLOSURE_CODEGEN_VERSION + 1)
+        assert srcgen.compile_kernel(p1.info, "k") is None
+        before = lowering.KERNEL_CACHE.compute_count
+        monkeypatch.setattr(srcgen, "SRCGEN_VERSION",
+                            srcgen.SRCGEN_VERSION + 1)
         p2 = compile_source(source)
         # still unsupported, but the verdict was re-derived by the
         # "new" compiler generation, not replayed from the old key
-        assert codegen.compile_kernel(p2.info, "k") is None
-        assert codegen.KERNEL_CACHE.compute_count == before + 1
+        assert srcgen.compile_kernel(p2.info, "k") is None
+        assert lowering.KERNEL_CACHE.compute_count == before + 1
 
     def test_engines_occupy_distinct_namespaces(self):
         p = compile_source(self.SOURCE)
         fp = p.info.fingerprint
-        closure_key = codegen.memo_key(
-            "closure", codegen.CLOSURE_CODEGEN_VERSION, fp, "k")
-        srcgen_key = codegen.memo_key(
+        srcgen_key = lowering.memo_key(
             "codegen", srcgen.SRCGEN_VERSION, fp, "k")
-        assert closure_key != srcgen_key
-        k_closure = codegen.compile_kernel(p.info, "k")
+        simd_key = lowering.memo_key("simd", simd.SIMD_VERSION, fp, "k")
+        assert srcgen_key != simd_key
         k_srcgen = srcgen.compile_kernel(p.info, "k")
-        assert isinstance(k_closure, codegen.CompiledKernel)
+        k_simd = simd.compile_kernel(p.info, "k")
         assert isinstance(k_srcgen, srcgen.CompiledSrcKernel)
-        assert closure_key in codegen.KERNEL_CACHE._done
-        assert srcgen_key in codegen.KERNEL_CACHE._done
+        assert isinstance(k_simd, simd.CompiledSimdKernel)
+        assert srcgen_key in lowering.KERNEL_CACHE._done
+        assert simd_key in lowering.KERNEL_CACHE._done
         # the pre-fix unversioned key format is never written
-        assert f"kernelcode:{fp}:k" not in codegen.KERNEL_CACHE._done
+        assert f"kernelcode:{fp}:k" not in lowering.KERNEL_CACHE._done
 
 
 class TestSrcgenEngine:
@@ -371,27 +386,6 @@ int main() { return 0; }
         out = rt.malloc(1, "float")
         program.launch(rt, "k", 1, 1, out.ptr(), engine="codegen")
         assert rt.memcpy_dtoh(out)[0] == 9.0
-
-    def test_barrier_free_kernel_gets_warp_fast_path(self):
-        source = """
-__global__ void k(float *out, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) out[i] = 3.0f * i;
-}
-int main() { return 0; }
-"""
-        program = compile_source(source)
-        compiled = srcgen.compile_kernel(program.info, "k")
-        assert compiled is not None
-        assert not compiled.is_gen
-        assert compiled.warp_factory is not None
-        rt = GpuRuntime(Device())
-        interp = Interpreter(program.info, rt, None, engine="codegen")
-        thread_fn = interp.make_kernel(
-            "k", (rt.malloc(8, "float").ptr(), 8))
-        assert not inspect.isgeneratorfunction(thread_fn)
-        # the scheduler's warp-vectorized dispatch keys off this
-        assert callable(getattr(thread_fn, "vector_run", None))
 
     def test_barrier_kernel_compiles_to_generator(self):
         source = """

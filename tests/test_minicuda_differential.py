@@ -208,7 +208,7 @@ class TestDifferential:
         """Every kernel engine must produce the same value AND
         bit-identical profiling counters for any expression."""
         ok_ast, stats_ast = run_expression_in_kernel(node, "ast")
-        for engine in ("closure", "codegen", "simd"):
+        for engine in ("codegen", "simd"):
             ok_eng, stats_eng = run_expression_in_kernel(node, engine)
             assert ok_ast == 1, node.render()
             assert ok_eng == 1, (engine, node.render())
@@ -240,14 +240,14 @@ int main() {{ return 0; }}
         program = compile_source(source)
         n = 60  # deliberately off the 64-thread grid: tail lanes masked
         results = {}
-        for engine in ("ast", "closure", "codegen", "simd"):
+        for engine in ("ast", "codegen", "simd"):
             rt = GpuRuntime(Device())
             out = rt.malloc(n, "int")
             stats = program.launch(rt, "diverge", 2, 32, out.ptr(), n,
                                    engine=engine)
             results[engine] = (list(rt.memcpy_dtoh(out)), stats)
         vals_ast, stats_ast = results["ast"]
-        for engine in ("closure", "codegen", "simd"):
+        for engine in ("codegen", "simd"):
             vals_eng, stats_eng = results[engine]
             assert vals_eng == vals_ast, (engine, node.render())
             assert stats_eng.instructions == stats_ast.instructions, \
@@ -284,7 +284,7 @@ int main() {{ return 0; }}
         program = compile_source(source)
         n = 60  # off the 64-thread grid: tail lanes masked
         ledgers = {}
-        for engine in ("ast", "closure", "codegen", "simd"):
+        for engine in ("ast", "codegen", "simd"):
             rt = GpuRuntime(Device())
             out = rt.malloc(n, "int")
             stats = program.launch(rt, "diverge", 2, 32, out.ptr(), n,
@@ -293,7 +293,7 @@ int main() {{ return 0; }}
             ledgers[engine] = stats.line_profile
         reference = ledgers["ast"]
         assert reference.total_instructions > 0
-        for engine in ("closure", "codegen", "simd"):
+        for engine in ("codegen", "simd"):
             assert ledgers[engine] == reference, (engine, node.render())
 
     @given(st.integers(-100, 100), st.integers(-100, 100))

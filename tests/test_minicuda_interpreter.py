@@ -133,7 +133,7 @@ int main() { return fact(5); }
 class TestDeviceExecution:
     @pytest.fixture(autouse=True, params=ENGINES)
     def _engine(self, request, monkeypatch):
-        """Every device-execution test runs under both kernel engines."""
+        """Every device-execution test runs under every kernel engine."""
         monkeypatch.setenv("WEBGPU_KERNEL_ENGINE", request.param)
 
     def test_device_function_call_from_kernel(self):

@@ -25,7 +25,7 @@ from repro.minicuda.values import f32
 from repro.telemetry import Telemetry, WARP_ACTIVE_LANE_RATIO
 from repro.telemetry.metrics import MetricsRegistry, merge_registries
 
-ENGINES = ("ast", "closure", "codegen", "simd")
+ENGINES = ("ast", "codegen", "simd")
 
 STAT_FIELDS = (
     "blocks", "threads", "warps", "instructions",
@@ -52,7 +52,7 @@ def run_kernel(source, kernel, grid, block, arrays, scalars, engine):
 
 
 def assert_engines_identical(source, kernel, grid, block, arrays, scalars):
-    """All four engines must agree on outputs and every counter."""
+    """All three engines must agree on outputs and every counter."""
     outs_ast, stats_ast = run_kernel(source, kernel, grid, block,
                                      arrays, scalars, "ast")
     for engine in ENGINES[1:]:

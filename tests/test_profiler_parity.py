@@ -1,7 +1,7 @@
 """Engine parity of the per-source-line profiler ledgers.
 
-Every kernel engine — the tree-walking oracle (``ast``), the closure
-compiler, the source-codegen tier, and the warp-SIMD tier — must
+Every kernel engine — the tree-walking oracle (``ast``), the
+source-codegen tier, and the warp-SIMD tier — must
 produce **bit-identical** :class:`repro.profiler.LineProfile` ledgers
 for the same launch. This is the profiler half of the engine-parity
 contract: outputs and whole-kernel counters already agree
@@ -22,7 +22,7 @@ from repro.labs.base import execute_lab_source
 from repro.minicuda import compile_source
 from repro.profiler import LineProfile, render_annotated
 
-ENGINES = ("ast", "closure", "codegen", "simd")
+ENGINES = ("ast", "codegen", "simd")
 
 
 def profiled_ledgers(source, kernel, grid, block, arrays, scalars):
